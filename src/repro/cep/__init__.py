@@ -1,8 +1,8 @@
 """CEP evaluation mechanisms (the paper's detection substrate).
 
-- :mod:`repro.cep.join_engine` — evaluation plans executed as Spark
-  DataFrame window-join dataflows (order-based plans → left-deep join
-  chains; tree-based plans → bushy join trees).
+- :mod:`repro.cep.join_engine` — evaluation plans compiled into Spark
+  DataFrame window-join trees (a tree-based plan runs as its bushy tree;
+  an order-based plan runs as its left-deep tree, per Theorem 1).
 - :mod:`repro.cep.detectors` — pure-Python event-at-a-time detectors
   (lazy NFA §2.2 and instance trees §2.3) with selection strategies.
 - :mod:`repro.cep.event_engine` — the detectors parallelized across time

@@ -1,24 +1,29 @@
 """CEP plan execution as Spark DataFrame window-join dataflows.
 
-This is the reproduction's primary evaluation mechanism (DESIGN.md §2):
+This is the reproduction's primary evaluation mechanism (DESIGN.md §2).
+One recursive compiler turns every plan into a tree of window joins:
 
-- an **order-based plan** runs as a left-deep chain of joins — exactly
-  the paper's lazy-NFA semantics, where the k-th intermediate result *is*
-  the set of partial matches of length k (§4.1);
-- a **tree-based plan** runs as a bushy join tree — ZStream's instance
-  buffers materialized as per-node DataFrames (§4.2).
+- a **tree-based plan** runs as its bushy join tree — ZStream's instance
+  buffers materialized as per-node DataFrames (§4.2);
+- an **order-based plan** runs as its left-deep tree
+  ``plans.left_deep_tree(order)`` (Theorem 1: Cost_ord(O) =
+  Cost_LDJ(L_O)), whose k-th join *is* the set of partial matches of
+  length k of the lazy NFA (§4.1).
 
 Detection semantics (DESIGN.md §3): matches are event combinations
 sharing a tumbling window id, every pattern predicate (declared, implied
 temporal order for SEQ, §6.2 contiguity adjacency) is attached at the
 earliest join where both operands are bound, negated events become
-left-anti joins at the earliest dependency-satisfying step (§5.3), and a
-Kleene position is joined event-at-a-time with a final power-set
-aggregation (Σ(2^m − 1) logical matches, instance-shared as in [52]).
+left-anti joins at the earliest node that binds their dependencies
+(§5.3), and a Kleene position is joined event-at-a-time with a final
+power-set aggregation (Σ(2^m − 1) logical matches, instance-shared as
+in [52]).
 
-Every intermediate result is counted — those counts are the paper's
-"number of partial matches" and feed the memory proxy; wall-clock time
-over the whole dataflow gives throughput.
+Every join (and every leaf an anti-join filtered) is counted — those
+counts are the paper's "number of partial matches" and feed the memory
+proxy; an unfiltered leaf's size is its type's measured event count.
+Wall-clock time over the whole dataflow gives throughput. Only the §6.1
+latency surrogate depends on the plan kind.
 """
 from __future__ import annotations
 
@@ -31,9 +36,14 @@ from pyspark.sql import functions as F
 
 from repro.core.pattern import Op, Pattern, Predicate
 from repro.core.planner import PlannedPattern
-from repro.core.plans import TreeNode
+from repro.core.plans import TreeNode, left_deep_tree
 from repro.core.transformations import negation_dependencies
 from .metrics import ExecutionMetrics
+
+# Per-window joins and streaming state stores are tiny; a session-wide
+# partition count would spend most of each stage on empty tasks.
+SHUFFLE_PARTITIONS = 8
+
 
 @dataclass
 class JoinExecution:
@@ -49,11 +59,11 @@ class JoinExecution:
 
 
 @contextmanager
-def _engine_conf(spark: SparkSession, shuffle_partitions: int):
-    """Scope a small shuffle-partition count to the tiny per-window joins."""
+def _engine_conf(spark: SparkSession):
+    """Scope :data:`SHUFFLE_PARTITIONS` to the tiny per-window joins."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
-    spark.conf.set(key, str(shuffle_partitions))
+    spark.conf.set(key, str(SHUFFLE_PARTITIONS))
     try:
         yield
     finally:
@@ -133,19 +143,20 @@ def _apply_negations(
     pattern: Pattern,
     bound: set[int],
     pending: dict[int, frozenset[int]],
-    strategy: str,
+    wid: str,
 ) -> tuple[DataFrame, list[int]]:
     """Left-anti join every negated position whose dependencies are bound.
 
-    Returns the filtered DataFrame and the positions applied (§5.3: the
-    absence check runs at the earliest possible point).
+    ``wid`` names ``cur``'s window-id column. Returns the filtered
+    DataFrame and the positions applied (§5.3: the absence check runs at
+    the earliest possible point).
     """
     applied = []
     for j, deps in sorted(pending.items()):
         if not deps <= bound:
             continue
         neg = _position_df(events, pattern, j, prefix="n")
-        conds = [F.col(f"n{j}_wid") == F.col("wid")]
+        conds = [F.col(f"n{j}_wid") == F.col(wid)]
         if pattern.op is Op.SEQ:
             for i in range(j - 1, -1, -1):
                 if i in bound:
@@ -170,28 +181,25 @@ def _apply_negations(
     return cur, applied
 
 
-def _finalize(
-    cur: DataFrame,
-    pattern: Pattern,
-    counts: list[int],
-    kl_positions: list[int],
-) -> tuple[DataFrame, int]:
-    """Project match ids; fold the Kleene power set analytically."""
+def _finalize(cur: DataFrame, pattern: Pattern, n_rows: int) -> tuple[DataFrame, int]:
+    """Project match ids; fold the Kleene power set analytically.
+
+    ``n_rows`` is ``cur``'s already measured row count. The fold sums
+    ``2**m − 1`` as Python ints over a histogram of Kleene group sizes,
+    so groups of any size count exactly.
+    """
     base = [i for i in pattern.positive() if i not in pattern.kleene]
     id_cols = [f"p{i}_id" for i in base]
-    if not kl_positions:
-        matches = cur.select(*id_cols)
-        return matches, counts[-1] if counts else 0
-    (k,) = kl_positions
+    if not pattern.kleene:
+        return cur.select(*id_cols), n_rows
+    (k,) = pattern.kleene
     grouped = cur.groupBy(*id_cols).agg(
         F.sort_array(F.collect_list(F.col(f"p{k}_id"))).alias("kl_ids"),
         F.count(F.lit(1)).alias("_m"),
     )
     grouped = grouped.persist()
-    agg = grouped.agg(
-        F.sum(F.pow(F.lit(2.0), F.col("_m")) - 1).alias("logical")
-    ).collect()[0]
-    n_logical = int(agg["logical"] or 0)
+    hist = grouped.groupBy("_m").count().collect()
+    n_logical = sum(r["count"] * (2 ** r["_m"] - 1) for r in hist)
     matches = grouped.select(*id_cols, "kl_ids")
     return matches, n_logical
 
@@ -205,168 +213,83 @@ def _measured_window_counts(events: DataFrame) -> tuple[dict[str, float], int, i
     return per_window, n_events, n_windows
 
 
-def execute_order_plan(
+def execute_planned(
     spark: SparkSession,
     events: DataFrame,
     planned: PlannedPattern,
     *,
     strategy: str = "any",
-    shuffle_partitions: int = 8,
     measured: tuple[dict[str, float], int, int] | None = None,
 ) -> JoinExecution:
-    """Run an order-based plan as a left-deep chain of window joins."""
+    """Run a plan as a tree of window joins.
+
+    An order plan runs as its left-deep tree, a tree plan as itself.
+    ``measured`` optionally carries precomputed
+    :func:`_measured_window_counts` output so batch harnesses running many
+    plans over one cached stream skip the two measurement actions.
+    """
     if strategy not in ("any", "contiguity"):
         raise ValueError(
             "join engine supports 'any' and 'contiguity'; use the event "
             "engine for skip-till-next-match"
         )
-    pattern, stats, plan = planned.pattern, planned.stats, planned.order_plan
-    if plan is None:
-        raise ValueError("planned pattern carries no order plan")
-    pos_sequence = [stats.positions[k] for k in plan.order]
-    kl_positions = sorted(pattern.kleene)
+    pattern, stats, order_plan = planned.pattern, planned.stats, planned.order_plan
+    tree = planned.tree_plan if order_plan is None else left_deep_tree(order_plan.order)
+    if tree is None:
+        raise ValueError("planned pattern carries no plan")
     pending = dict(negation_dependencies(pattern))
     per_window, n_events, n_windows = measured or _measured_window_counts(events)
 
-    t0 = time.perf_counter()
-    counts: list[int] = []
-    cached: list[DataFrame] = []
-    with _engine_conf(spark, shuffle_partitions):
-        first = pos_sequence[0]
-        cur = _position_df(events, pattern, first, prefix="p").withColumnRenamed(
-            f"p{first}_wid", "wid"
-        )
-        bound = {first}
-        cur, applied = _apply_negations(
-            cur, events, pattern, bound, pending, strategy
-        )
-        cur = cur.persist()
-        cached.append(cur)
-        counts.append(cur.count())
-        for i in pos_sequence[1:]:
-            nxt = _position_df(events, pattern, i, prefix="p")
-            cond = F.col("wid") == F.col(f"p{i}_wid")
-            for c in _cross_conditions(pattern, bound, {i}, strategy):
-                cond = cond & c
-            cur = cur.join(nxt, cond, "inner").drop(f"p{i}_wid")
-            bound.add(i)
-            cur, _ = _apply_negations(cur, events, pattern, bound, pending, strategy)
-            cur = cur.persist()
-            cached.append(cur)
-            counts.append(cur.count())
-        matches, n_matches = _finalize(cur, pattern, counts, kl_positions)
-        wall = time.perf_counter() - t0
-    for df in cached:
-        df.unpersist()
-
-    # §6.1 latency surrogate: buffered events of types succeeding T_n in
-    # the executed order, measured per window.
-    latency = 0.0
-    if pattern.op is Op.SEQ:
-        last_pos = stats.positions[stats.last_seq_position]
-        idx = pos_sequence.index(last_pos)
-        latency = float(
-            sum(per_window[pattern.types[i]] for i in pos_sequence[idx + 1 :])
-        )
-    # Memory proxy: partial matches per stage + per-type event buffers.
-    buffers = [
-        int(round(per_window[pattern.types[i]] * n_windows)) for i in pos_sequence
-    ]
-    metrics = ExecutionMetrics(
-        strategy=strategy,
-        n_events=n_events,
-        n_windows=n_windows,
-        intermediate_counts=counts + buffers[1:],
-        n_matches=n_matches,
-        wall_seconds=wall,
-        latency_surrogate=latency,
-    )
-    return JoinExecution(matches=matches, metrics=metrics)
-
-
-def execute_tree_plan(
-    spark: SparkSession,
-    events: DataFrame,
-    planned: PlannedPattern,
-    *,
-    strategy: str = "any",
-    shuffle_partitions: int = 8,
-    measured: tuple[dict[str, float], int, int] | None = None,
-) -> JoinExecution:
-    """Run a tree-based plan as a bushy tree of window joins."""
-    if strategy not in ("any", "contiguity"):
-        raise ValueError(
-            "join engine supports 'any' and 'contiguity'; use the event "
-            "engine for skip-till-next-match"
-        )
-    pattern, stats, plan = planned.pattern, planned.stats, planned.tree_plan
-    if plan is None:
-        raise ValueError("planned pattern carries no tree plan")
-    kl_positions = sorted(pattern.kleene)
-    pending = dict(negation_dependencies(pattern))
-    per_window, n_events, n_windows = measured or _measured_window_counts(events)
-
-    t0 = time.perf_counter()
-    counts: list[int] = []
+    # Rows per node, in post-order; a tree's node masks are distinct.
     node_pm: dict[int, int] = {}
     cached: list[DataFrame] = []
 
-    def positions_of(node: TreeNode) -> set[int]:
-        return {stats.positions[k] for k in node.leaves_in_order()}
-
     def build(node: TreeNode) -> tuple[DataFrame, set[int], str]:
-        """Returns (df, bound pattern positions, wid anchor column)."""
+        """Returns (df, bound pattern positions, window-id column)."""
         if node.is_leaf():
             i = stats.positions[node.leaf]
-            df = _position_df(events, pattern, i, prefix="p")
-            bound = {i}
-            anchor = f"p{i}_wid"
-            if not pending:
-                # Leaf buffers: their sizes are per-type event counts,
-                # already measured — no Spark action needed.
-                c = int(round(per_window[pattern.types[i]] * n_windows))
-                counts.append(c)
-                node_pm[node.mask] = c
-                return df, bound, anchor
+            df, bound, wid = _position_df(events, pattern, i), {i}, f"p{i}_wid"
         else:
-            ldf, lpos, lanchor = build(node.left)
-            rdf, rpos, ranchor = build(node.right)
-            cond = F.col(lanchor) == F.col(ranchor)
+            ldf, lpos, wid = build(node.left)
+            rdf, rpos, rwid = build(node.right)
+            cond = F.col(wid) == F.col(rwid)
             for c in _cross_conditions(pattern, lpos, rpos, strategy):
                 cond = cond & c
-            df = ldf.join(rdf, cond, "inner").drop(ranchor)
-            bound = lpos | rpos
-            anchor = lanchor
-        df, applied = _apply_negations(
-            df.withColumnRenamed(anchor, "wid"),
-            events,
-            pattern,
-            bound,
-            pending,
-            strategy,
-        )
-        df = df.withColumnRenamed("wid", anchor)
-        df = df.persist()
-        cached.append(df)
-        c = df.count()
-        counts.append(c)
-        node_pm[node.mask] = c
-        return df, bound, anchor
+            df, bound = ldf.join(rdf, cond, "inner").drop(rwid), lpos | rpos
+        df, applied = _apply_negations(df, events, pattern, bound, pending, wid)
+        if node.is_leaf() and not applied:
+            # A leaf buffer's size is its type's event count, already
+            # measured — no Spark action needed.
+            size = per_window.get(pattern.types[i], 0.0) * n_windows
+            node_pm[node.mask] = round(size)
+        else:
+            df = df.persist()
+            cached.append(df)
+            node_pm[node.mask] = df.count()
+        return df, bound, wid
 
-    with _engine_conf(spark, shuffle_partitions):
-        root_df, _, anchor = build(plan.root)
-        root_df = root_df.withColumnRenamed(anchor, "wid")
-        matches, n_matches = _finalize(root_df, pattern, counts, kl_positions)
+    t0 = time.perf_counter()
+    with _engine_conf(spark):
+        root_df, _, _ = build(tree.root)
+        matches, n_matches = _finalize(root_df, pattern, node_pm[tree.root.mask])
         wall = time.perf_counter() - t0
     for df in cached:
         df.unpersist()
 
-    # §6.1 latency surrogate for trees: measured partial matches buffered
-    # on the siblings of T_n's ancestors.
+    # §6.1 latency surrogate, as cost_ord_lat / cost_tree_lat model it.
     latency = 0.0
-    if pattern.op is Op.SEQ:
+    if pattern.op is Op.SEQ and order_plan is not None:
+        # Buffered events of types succeeding T_n in the executed order.
+        order = order_plan.order
+        after = order[order.index(stats.last_seq_position) + 1 :]
+        latency = float(
+            sum(per_window.get(pattern.types[stats.positions[k]], 0.0) for k in after)
+        )
+    elif pattern.op is Op.SEQ:
+        # Measured partial matches buffered on the siblings of T_n's
+        # ancestors.
         last_bit = 1 << stats.last_seq_position
-        node = plan.root
+        node = tree.root
         while not node.is_leaf():
             sib = node.right if node.left.mask & last_bit else node.left
             latency += node_pm[sib.mask]
@@ -376,38 +299,12 @@ def execute_tree_plan(
         strategy=strategy,
         n_events=n_events,
         n_windows=n_windows,
-        intermediate_counts=counts,
+        intermediate_counts=list(node_pm.values()),
         n_matches=n_matches,
         wall_seconds=wall,
         latency_surrogate=latency,
     )
     return JoinExecution(matches=matches, metrics=metrics)
-
-
-def execute_planned(
-    spark: SparkSession,
-    events: DataFrame,
-    planned: PlannedPattern,
-    *,
-    strategy: str = "any",
-    shuffle_partitions: int = 8,
-    measured: tuple[dict[str, float], int, int] | None = None,
-) -> JoinExecution:
-    """Dispatch to the order- or tree-plan executor.
-
-    ``measured`` optionally carries precomputed
-    :func:`_measured_window_counts` output so batch harnesses running many
-    plans over one cached stream skip the two measurement actions.
-    """
-    fn = execute_order_plan if planned.order_plan is not None else execute_tree_plan
-    return fn(
-        spark,
-        events,
-        planned,
-        strategy=strategy,
-        shuffle_partitions=shuffle_partitions,
-        measured=measured,
-    )
 
 
 def execute_pattern(
@@ -416,7 +313,6 @@ def execute_pattern(
     planned_list: list[PlannedPattern],
     *,
     strategy: str = "any",
-    shuffle_partitions: int = 8,
     measured: tuple[dict[str, float], int, int] | None = None,
 ) -> tuple[list[JoinExecution], ExecutionMetrics]:
     """Execute a (possibly disjunctive) pattern: one run per subplan.
@@ -425,14 +321,7 @@ def execute_pattern(
     (§5.4); the returned list preserves subpattern order.
     """
     runs = [
-        execute_planned(
-            spark,
-            events,
-            pp,
-            strategy=strategy,
-            shuffle_partitions=shuffle_partitions,
-            measured=measured,
-        )
+        execute_planned(spark, events, pp, strategy=strategy, measured=measured)
         for pp in planned_list
     ]
     merged = runs[0].metrics

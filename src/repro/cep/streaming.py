@@ -32,7 +32,7 @@ from pyspark.sql import types as T
 
 from repro.core.pattern import Op, Pattern
 from repro.core.planner import PlannedPattern
-from .join_engine import _cross_conditions
+from .join_engine import _cross_conditions, _engine_conf
 
 _SCHEMA = T.StructType(
     [
@@ -121,14 +121,16 @@ def execute_order_plan_streaming(
         bound.add(i)
     out_cols = [f"p{i}_id" for i in sorted(bound)]
     name = f"cep_{uuid.uuid4().hex[:10]}"
-    query = (
-        cur.select(*out_cols)
-        .writeStream.format("memory")
-        .queryName(name)
-        .outputMode("append")
-        .trigger(availableNow=True)
-        .start()
-    )
+    # The state stores take their partition count from the conf at start.
+    with _engine_conf(spark):
+        query = (
+            cur.select(*out_cols)
+            .writeStream.format("memory")
+            .queryName(name)
+            .outputMode("append")
+            .trigger(availableNow=True)
+            .start()
+        )
     try:
         if not query.awaitTermination(timeout=timeout_s):
             raise TimeoutError("streaming query did not finish in time")

@@ -6,6 +6,9 @@ multi-way self-join, and ``repro.oracle.assert_equivalent`` diffs the
 sorted rows — so a wrong join condition, a misplaced negation, or a
 broken plan mapping fails loudly, not silently.
 """
+import dataclasses
+
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -13,6 +16,7 @@ from pyspark.sql import functions as F
 from repro.cep.join_engine import execute_pattern, execute_planned
 from repro.core.pattern import Predicate, conj, disj, seq
 from repro.core.planner import plan_pattern, plan_simple
+from repro.core.plans import left_deep_tree
 from repro.oracle import assert_equivalent
 from repro.streams.estimation import estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf
@@ -101,6 +105,32 @@ class TestSequencePatterns:
         assert opt.metrics.n_matches == triv.metrics.n_matches
         assert opt.metrics.memory_proxy <= triv.metrics.memory_proxy
 
+    def test_order_plan_runs_as_its_left_deep_tree(
+        self, spark, events, events_pdf, stats
+    ):
+        """Theorem 1 at engine level: an order plan and its left-deep
+        tree plan give the same matches and the same partial matches."""
+        p = make_pattern("sequence", 4, stats, CFG.window, seed=13)
+        pp = plan_simple(p, rates_of(stats, p), "DP-LD")
+        ldt = dataclasses.replace(
+            pp, order_plan=None, tree_plan=left_deep_tree(pp.order_plan.order)
+        )
+        order_run, tree_run = (execute_planned(spark, events, x) for x in (pp, ldt))
+        for run in (order_run, tree_run):
+            assert_equivalent(run.matches, pattern_sql(p), ev=events_pdf)
+        assert order_run.metrics.n_matches == tree_run.metrics.n_matches
+        assert sorted(order_run.metrics.intermediate_counts) == sorted(
+            tree_run.metrics.intermediate_counts
+        )
+
+    @pytest.mark.parametrize("algorithm", ["DP-LD", "DP-B"])
+    def test_absent_type_gives_no_matches(self, spark, events, stats, algorithm):
+        p = seq(("S00", "Z", "S01"), (), CFG.window)
+        rates = {**stats.rates_for(("S00", "S01")), "Z": 0.01}
+        run = execute_planned(spark, events, plan_simple(p, rates, algorithm))
+        assert run.metrics.n_matches == 0
+        assert run.matches.count() == 0
+
 
 class TestConjunctionPatterns:
     @pytest.mark.parametrize("algorithm", ["EFREQ", "DP-LD", "DP-B"])
@@ -185,6 +215,25 @@ class TestKleenePatterns:
         base_cols = [c for c in ref.columns if c != f"p{k}_id"]
         expected = int((2.0 ** ref.groupby(base_cols).size() - 1).sum())
         assert run.metrics.n_matches == expected
+
+    def test_long_kleene_run_counts_exactly(self, spark):
+        """A group of m ≥ 1024 events overflows a double's 2^m."""
+        m = 1100
+        ev = pd.DataFrame(
+            {
+                "event_id": np.arange(m + 1),
+                "symbol": ["A"] + ["K"] * m,
+                "ts": np.arange(m + 1) * 0.05,
+                "wid": 0,
+                "serial": np.arange(m + 1),
+                "price": 1.0,
+                "diff": 0.0,
+            }
+        )
+        p = seq(("A", "K"), (), CFG.window, kleene=(1,))
+        planned = plan_simple(p, {"A": 0.01, "K": 1.0}, "DP-LD")
+        run = execute_planned(spark, spark.createDataFrame(ev), planned)
+        assert run.metrics.n_matches == 2**m - 1
 
 
 class TestDisjunctionPatterns:
