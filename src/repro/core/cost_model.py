@@ -1,5 +1,10 @@
 """Cost models for CEP evaluation plans (paper §4, §6.1, §6.2).
 
+Both throughput models are sums of one quantity, the expected number of
+partial matches PM of a subset of event types. :class:`SubsetKernel`
+computes it once per subset; every cost function below and every planner
+(through :class:`Objective`) reads it from there.
+
 Implemented functions, with the paper's names:
 
 - :func:`cost_ord`  — ``Cost_ord``  (§4.1): Σ expected partial matches over
@@ -28,20 +33,87 @@ from .plans import OrderPlan, TreePlan
 from .stats import PatternStats
 
 # ---------------------------------------------------------------------------
+# The subset kernel — PM of a set of planning positions (§4.1, §4.2, §6.2)
+# ---------------------------------------------------------------------------
+
+
+class SubsetKernel:
+    """Memoized expected partial matches of every subset a plan touches.
+
+    For a bitmask over the planning positions the memo holds
+    ``(Π W·r_i, Π sel, min W·r_i, Π sel × 1/k!)``: the counts, every filter
+    and pair selectivity inside the subset, the smallest count, and the
+    selectivities times the exact-mode ordering factor for the subset's k
+    sequence members. An entry is built from the entry of the mask minus
+    its lowest bit, so a value depends only on its mask, never on which
+    plan asked for it first. Entries are filled on demand: a planner pays
+    for the subsets it visits, not for all 2ⁿ.
+
+    The 1/k! factor multiplies the finished product instead of being
+    folded in bit by bit: a position with no predicate against the subset
+    then leaves ``Π sel`` bitwise unchanged, so subsets that tie exactly
+    in the skip-till-next model stay tied and GREEDY breaks the tie by
+    position.
+    """
+
+    def __init__(self, stats: PatternStats):
+        self._counts = stats.counts.tolist()
+        self._sel = stats.sel.tolist()
+        self._seq = stats.seq_members if stats.temporal_mode == "exact" else 0
+        self._inv_fact = [1.0 / math.factorial(k) for k in range(stats.n + 1)]
+        self._memo = {0: (1.0, 1.0, math.inf, 1.0)}
+
+    def _fill(self, mask: int) -> tuple[float, float, float, float]:
+        memo, sel = self._memo, self._sel
+        chain = []
+        while mask not in memo:
+            chain.append(mask)
+            mask &= mask - 1
+        count, sel_prod, min_count, _ = memo[mask]
+        for mask in reversed(chain):
+            b = (mask & -mask).bit_length() - 1
+            f = sel[b][b]
+            rest = mask & (mask - 1)
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                f *= sel[i][b]
+                rest &= rest - 1
+            sel_prod *= f
+            count *= self._counts[b]
+            min_count = min(min_count, self._counts[b])
+            ordered = sel_prod * self._inv_fact[(mask & self._seq).bit_count()]
+            memo[mask] = (count, sel_prod, min_count, ordered)
+        return memo[mask]
+
+    def pm(self, mask: int) -> float:
+        """PM(mask) — ``Π (W·r_i) · Π sel × 1/k!`` (§4.1 PM(k), §4.2 PM(N))."""
+        count, _, _, ordered = self._memo.get(mask) or self._fill(mask)
+        return count * ordered
+
+    def pm_next(self, mask: int) -> float:
+        """``W·min(r_i) · Π sel × 1/k!`` — the skip-till-next PM (§6.2)."""
+        _, _, min_count, ordered = self._memo.get(mask) or self._fill(mask)
+        return min_count * ordered
+
+
+def _prefixes(order) -> list[int]:
+    """The masks of an order plan's prefixes, shortest first."""
+    masks, mask = [], 0
+    for t in order:
+        mask |= 1 << t
+        masks.append(mask)
+    return masks
+
+
+# ---------------------------------------------------------------------------
 # Throughput (intermediate partial matches) models — §4
 # ---------------------------------------------------------------------------
 
 
 def cost_ord(plan: OrderPlan, stats: PatternStats) -> float:
     """Σ_k PM(k) — the order-based throughput cost (§4.1)."""
-    total = 0.0
-    pm = 1.0
-    mask = 0
-    for t in plan.order:
-        pm *= stats.extend_factor(mask, t)
-        mask |= 1 << t
-        total += pm
-    return total
+    pm = SubsetKernel(stats).pm
+    return sum(pm(mask) for mask in _prefixes(plan.order))
 
 
 def cost_ldj(plan: OrderPlan, stats: PatternStats) -> float:
@@ -78,22 +150,11 @@ def cost_tree(plan: TreePlan, stats: PatternStats) -> float:
 
     ``PM(leaf) = W·r_i`` (times the filter selectivity, folded in so the
     order- and tree-based models treat filters identically) and
-    ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``.
+    ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``, which is the PM of the node's
+    leaf set.
     """
-    pm: dict[int, float] = {}
-    total = 0.0
-    for node in plan.root.nodes():
-        if node.is_leaf():
-            v = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
-        else:
-            v = (
-                pm[node.left.mask]
-                * pm[node.right.mask]
-                * stats.combine_factor(node.left.mask, node.right.mask)
-            )
-        pm[node.mask] = v
-        total += v
-    return total
+    pm = SubsetKernel(stats).pm
+    return sum(pm(node.mask) for node in plan.root.nodes())
 
 
 def cost_bj(plan: TreePlan, stats: PatternStats) -> float:
@@ -149,22 +210,13 @@ def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
     last = stats.last_seq_position
     if last is None:
         return 0.0
-    pm: dict[int, float] = {}
-    for node in plan.root.nodes():
-        if node.is_leaf():
-            pm[node.mask] = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
-        else:
-            pm[node.mask] = (
-                pm[node.left.mask]
-                * pm[node.right.mask]
-                * stats.combine_factor(node.left.mask, node.right.mask)
-            )
+    pm = SubsetKernel(stats).pm
     bit = 1 << last
     total = 0.0
     node = plan.root
     while not node.is_leaf():
         sibling = node.right if node.left.mask & bit else node.left
-        total += pm[sibling.mask]
+        total += pm(sibling.mask)
         node = node.left if node.left.mask & bit else node.right
     return total
 
@@ -174,36 +226,16 @@ def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _selprod(mask: int, stats: PatternStats) -> float:
-    """Π of all selectivities (filters + pairs + temporal) inside mask."""
-    members = [i for i in range(stats.n) if mask >> i & 1]
-    v = 1.0
-    for a, i in enumerate(members):
-        v *= stats.sel[i, i]
-        for j in members[a + 1 :]:
-            v *= stats.sel[i, j]
-    return v * stats.temporal_factor(mask)
-
-
-def next_match_pm(mask: int, stats: PatternStats) -> float:
-    """``m[k] = W·min(r_{p_1..p_k}) · Π sel`` for the subset ``mask``."""
-    members = [i for i in range(stats.n) if mask >> i & 1]
-    return min(stats.counts[i] for i in members) * _selprod(mask, stats)
-
-
 def cost_ord_next(plan: OrderPlan, stats: PatternStats) -> float:
     """``Cost^next_ord = Σ_k W·m[k]`` (§6.2, as written in the paper)."""
-    total = 0.0
-    mask = 0
-    for t in plan.order:
-        mask |= 1 << t
-        total += stats.window * next_match_pm(mask, stats)
-    return total
+    pm_next = SubsetKernel(stats).pm_next
+    return sum(stats.window * pm_next(mask) for mask in _prefixes(plan.order))
 
 
 def cost_tree_next(plan: TreePlan, stats: PatternStats) -> float:
     """``Cost^next_tree = Σ_N PM^next(N)`` (§6.2)."""
-    return float(sum(next_match_pm(node.mask, stats) for node in plan.root.nodes()))
+    pm_next = SubsetKernel(stats).pm_next
+    return float(sum(pm_next(node.mask) for node in plan.root.nodes()))
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +255,25 @@ class Objective:
     normalized by the trivial (pattern-order) plan's cost and the latency
     term by Σ W·r_i, so α ∈ {0, 0.5, 1} spans the paper's Fig 18 range.
 
-    Planners rely on the decomposability helpers: ``prefix_pm(mask)`` is the
-    contribution of a prefix/subset (both throughput models are functions of
-    the member *set* only), and ``lat_step(mask, t)`` is the latency added
-    when position ``t`` is placed after the subset ``mask``.
+    Planners rely on the decomposability helpers: ``prefix_pm(mask)`` /
+    ``node_pm(mask)`` are the contributions of a prefix / tree node (both
+    throughput models are functions of the member *set* only, read from the
+    objective's one :class:`SubsetKernel`), and ``lat_step(mask, t)`` /
+    ``lat_combine(a, b)`` are the latency added by placing position ``t``
+    after the subset ``mask`` / by joining two subtrees.
     """
 
     stats: PatternStats
     alpha: float = 0.0
     strategy: str = "any"
+    kernel: SubsetKernel = field(init=False, repr=False, compare=False)
     trpt_ref: float = field(init=False)
     lat_ref: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        self.kernel = SubsetKernel(self.stats)
         trivial = OrderPlan(tuple(range(self.stats.n)))
         if self.strategy == "any":
             self.trpt_ref = cost_ord(trivial, self.stats)
@@ -250,14 +286,14 @@ class Objective:
     def prefix_pm(self, mask: int) -> float:
         """Normalized throughput contribution of one subset/prefix/node."""
         if self.strategy == "any":
-            return self.stats.pm_of_mask(mask) / self.trpt_ref
-        return self.stats.window * next_match_pm(mask, self.stats) / self.trpt_ref
+            return self.kernel.pm(mask) / self.trpt_ref
+        return self.stats.window * self.kernel.pm_next(mask) / self.trpt_ref
 
     def node_pm(self, mask: int) -> float:
         """Normalized throughput contribution of one tree node."""
         if self.strategy == "any":
-            return self.stats.pm_of_mask(mask) / self.trpt_ref
-        return next_match_pm(mask, self.stats) / self.trpt_ref
+            return self.kernel.pm(mask) / self.trpt_ref
+        return self.kernel.pm_next(mask) / self.trpt_ref
 
     def lat_step(self, mask: int, t: int) -> float:
         """α-weighted latency added by placing ``t`` after subset ``mask``."""
@@ -284,38 +320,17 @@ class Objective:
             sib = mask_a
         else:
             return 0.0
-        return self.alpha * self.stats.pm_of_mask(sib) / self.lat_ref
+        return self.alpha * self.kernel.pm(sib) / self.lat_ref
 
     # -- whole-plan evaluation ------------------------------------------------
     def order_cost(self, plan: OrderPlan) -> float:
-        """Full plan cost in O(n²) — incremental, so local search stays fast."""
-        st = self.stats
-        sel = st.sel
-        exact = st.temporal_mode == "exact"
+        """Σ over the plan's prefixes of ``prefix_pm`` plus ``lat_step``."""
         total = 0.0
         mask = 0
-        members: list[int] = []
-        selprod = 1.0
-        countprod = 1.0
-        mincnt = math.inf
-        k_seq = 0
         for t in plan.order:
             total += self.lat_step(mask, t)
-            f = sel[t, t]
-            for i in members:
-                f *= sel[i, t]
-            selprod *= f
-            if exact and (st.seq_members >> t & 1):
-                k_seq += 1
-                selprod /= k_seq
-            countprod *= st.counts[t]
-            mincnt = min(mincnt, st.counts[t])
-            members.append(t)
             mask |= 1 << t
-            if self.strategy == "any":
-                total += countprod * selprod / self.trpt_ref
-            else:
-                total += st.window * mincnt * selprod / self.trpt_ref
+            total += self.prefix_pm(mask)
         return total
 
     def tree_cost(self, plan: TreePlan) -> float:
@@ -325,72 +340,3 @@ class Objective:
             if not node.is_leaf():
                 total += self.lat_combine(node.left.mask, node.right.mask)
         return total
-
-
-class SubsetTables:
-    """Per-subset quantities for the dynamic-programming planners.
-
-    Precomputes, for every mask over the planning positions, the expected
-    partial-match count ``pm_any`` (§4.1/4.2) and the skip-till-next count
-    (§6.2), each in O(2ⁿ·n) total. DP-LD/DP-B then run in O(2ⁿ·n) /
-    O(3ⁿ) with O(1) per-subset cost lookups.
-    """
-
-    def __init__(self, obj: Objective):
-        st = obj.stats
-        n = st.n
-        if n > 24:
-            raise ValueError(f"subset tables infeasible for n={n}")
-        self.obj = obj
-        size = 1 << n
-        selprod = [1.0] * size
-        countprod = [1.0] * size
-        mincnt = [math.inf] * size
-        sel = st.sel
-        counts = st.counts
-        exact = st.temporal_mode == "exact"
-        seq = st.seq_members
-        for mask in range(1, size):
-            b = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << b)
-            f = sel[b, b]
-            r = rest
-            while r:
-                i = (r & -r).bit_length() - 1
-                f *= sel[i, b]
-                r ^= 1 << i
-            sp = selprod[rest] * f
-            if exact and (seq >> b & 1):
-                sp /= (mask & seq).bit_count()
-            selprod[mask] = sp
-            countprod[mask] = countprod[rest] * counts[b]
-            mincnt[mask] = min(mincnt[rest], counts[b])
-        self.pm_any = [countprod[m] * selprod[m] for m in range(size)]
-        self.pm_next = [0.0] + [mincnt[m] * selprod[m] for m in range(1, size)]
-
-    def prefix_pm(self, mask: int) -> float:
-        """Normalized order-plan prefix contribution for ``mask``."""
-        if self.obj.strategy == "any":
-            return self.pm_any[mask] / self.obj.trpt_ref
-        return self.obj.stats.window * self.pm_next[mask] / self.obj.trpt_ref
-
-    def node_pm(self, mask: int) -> float:
-        """Normalized tree-node contribution for ``mask``."""
-        if self.obj.strategy == "any":
-            return self.pm_any[mask] / self.obj.trpt_ref
-        return self.pm_next[mask] / self.obj.trpt_ref
-
-    def lat_combine(self, mask_a: int, mask_b: int) -> float:
-        """O(1) version of :meth:`Objective.lat_combine` using the tables."""
-        obj = self.obj
-        last = obj.stats.last_seq_position
-        if obj.alpha == 0.0 or last is None:
-            return 0.0
-        bit = 1 << last
-        if mask_a & bit:
-            sib = mask_b
-        elif mask_b & bit:
-            sib = mask_a
-        else:
-            return 0.0
-        return obj.alpha * self.pm_any[sib] / obj.lat_ref

@@ -16,7 +16,8 @@ JQPG methods adapted to CPG:
 
 Every algorithm minimizes a :class:`repro.core.cost_model.Objective`, so
 the hybrid latency model (§6.1) and the selection-strategy models (§6.2)
-come for free.
+come for free; every subset PM it reads comes from the objective's one
+memoized :class:`repro.core.cost_model.SubsetKernel`.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cost_model import Objective, SubsetTables
+from .cost_model import Objective
 from .plans import OrderPlan
 
 
@@ -138,17 +139,18 @@ def dp_ld(obj: Objective) -> PlanResult:
     ``cost[S] = pm(S) + min_{t∈S} (cost[S∖t] + lat_step(S∖t, t))`` — valid
     because both throughput models depend on the member *set* only, and
     the latency term decomposes over placements after T_n (see
-    DESIGN.md). O(2ⁿ·n) time and space.
+    DESIGN.md). O(2ⁿ·n) time and space, so n is capped at 24.
     """
     t0 = time.perf_counter()
     n = obj.stats.n
-    tables = SubsetTables(obj)
+    if n > 24:
+        raise ValueError(f"DP-LD over 2^{n} subsets is infeasible")
     size = 1 << n
     cost = [math.inf] * size
     choice = [-1] * size
     cost[0] = 0.0
     for mask in range(1, size):
-        pm = tables.prefix_pm(mask)
+        pm = obj.prefix_pm(mask)
         best, best_t = math.inf, -1
         m = mask
         while m:

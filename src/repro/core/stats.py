@@ -20,7 +20,6 @@ entries, so no separate ``W^k`` term is needed: ``W^k · Π r_i = Π (W·r_i)``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,68 +135,3 @@ class PatternStats:
     def total_count(self) -> float:
         """Σ_i W·r_i — the normalizer for the latency cost (§6.1)."""
         return float(self.counts.sum())
-
-    def temporal_factor(self, mask: int) -> float:
-        """Probability that the seq-members of ``mask`` arrive in order."""
-        if self.temporal_mode != "exact" or not (mask & self.seq_members):
-            return 1.0
-        k = (mask & self.seq_members).bit_count()
-        return 1.0 / math.factorial(k)
-
-    def pm_of_mask(self, mask: int) -> float:
-        """Expected number of partial matches over the subset ``mask``.
-
-        This is the paper's PM(k) (§4.1) / PM(node) (§4.2) written for an
-        arbitrary subset: ``Π_{i∈mask} (W·r_i)·sel_{i,i} · Π_{i<j∈mask}
-        sel_{i,j}``, times the temporal factor.
-        """
-        members = [i for i in range(self.n) if mask >> i & 1]
-        v = 1.0
-        for a, i in enumerate(members):
-            v *= self.counts[i] * self.sel[i, i]
-            for j in members[a + 1 :]:
-                v *= self.sel[i, j]
-        return v * self.temporal_factor(mask)
-
-    def extend_factor(self, mask: int, t: int) -> float:
-        """Multiplier taking PM(mask) to PM(mask | 1<<t).
-
-        Used by the incremental planners (GREEDY, DP-LD): the new event
-        contributes its own count, its filter, its predicates against every
-        current member, and — for sequence patterns in exact mode — the
-        1/(k+1) incremental ordering factor.
-        """
-        if mask >> t & 1:
-            raise ValueError("position already in mask")
-        v = self.counts[t] * self.sel[t, t]
-        for i in range(self.n):
-            if mask >> i & 1:
-                v *= self.sel[i, t]
-        if self.temporal_mode == "exact" and (self.seq_members >> t & 1):
-            k = (mask & self.seq_members).bit_count()
-            v /= k + 1
-        return v
-
-    def combine_factor(self, mask_a: int, mask_b: int) -> float:
-        """Selectivity of joining two disjoint partial matches.
-
-        The paper's SEL_LR(in) (§4.2): the product of selectivities of all
-        predicates between the two leaf sets, times the temporal
-        reordering factor for sequence patterns
-        (``a! · b! / (a+b)!`` in exact mode).
-        """
-        if mask_a & mask_b:
-            raise ValueError("masks must be disjoint")
-        v = 1.0
-        for i in range(self.n):
-            if not (mask_a >> i & 1):
-                continue
-            for j in range(self.n):
-                if mask_b >> j & 1:
-                    v *= self.sel[i, j]
-        if self.temporal_mode == "exact":
-            a = (mask_a & self.seq_members).bit_count()
-            b = (mask_b & self.seq_members).bit_count()
-            if a and b:
-                v *= math.factorial(a) * math.factorial(b) / math.factorial(a + b)
-        return v

@@ -8,6 +8,10 @@
   produce a good leaf order first, then ZStream's DP on that order.
 - :func:`dp_b` — DP over subsets for unrestricted bushy trees [45, 36]
   (cross products allowed), provably optimal; O(3ⁿ).
+
+Node and latency costs are the :class:`repro.core.cost_model.Objective`
+methods, which read subset PMs from its one memoized kernel, so ZSTREAM
+pays for its O(n²) contiguous groupings only, not for all 2ⁿ subsets.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cost_model import Objective, SubsetTables
+from .cost_model import Objective
 from .order_algorithms import greedy
 from .plans import TreeNode, TreePlan, join, leaf
 
@@ -32,7 +36,6 @@ class TreePlanResult:
 def _zstream_dp(obj: Objective, leaf_order: tuple[int, ...]) -> tuple[TreePlan, float]:
     """Optimal tree over contiguous groupings of ``leaf_order``."""
     n = len(leaf_order)
-    tables = SubsetTables(obj)
     masks = {}
     for i in range(n):
         m = 0
@@ -42,17 +45,17 @@ def _zstream_dp(obj: Objective, leaf_order: tuple[int, ...]) -> tuple[TreePlan, 
     cost: dict[tuple[int, int], float] = {}
     split: dict[tuple[int, int], int] = {}
     for i in range(n):
-        cost[i, i] = tables.node_pm(1 << leaf_order[i])
+        cost[i, i] = obj.node_pm(1 << leaf_order[i])
     for span in range(2, n + 1):
         for i in range(0, n - span + 1):
             j = i + span - 1
-            node = tables.node_pm(masks[i, j])
+            node = obj.node_pm(masks[i, j])
             best, best_k = math.inf, i
             for k in range(i, j):
                 c = (
                     cost[i, k]
                     + cost[k + 1, j]
-                    + tables.lat_combine(masks[i, k], masks[k + 1, j])
+                    + obj.lat_combine(masks[i, k], masks[k + 1, j])
                 )
                 if c < best:
                     best, best_k = c, k
@@ -90,16 +93,18 @@ def dp_b(obj: Objective) -> TreePlanResult:
     lat_combine(L, S∖L))``; leaves are the singleton base case. The split
     enumeration fixes S's lowest bit on the left side so each unordered
     split is tried once. O(3ⁿ) — the paper reports 50 h at n = 22 for its
-    Java implementation; callers cap n accordingly.
+    Java implementation; callers cap n accordingly, and n > 24 is refused
+    before the 2ⁿ-entry cost and split lists are allocated.
     """
     t0 = time.perf_counter()
     n = obj.stats.n
-    tables = SubsetTables(obj)
+    if n > 24:
+        raise ValueError(f"DP-B over 2^{n} subsets is infeasible")
     size = 1 << n
     cost = [math.inf] * size
     split = [0] * size
     for i in range(n):
-        cost[1 << i] = tables.node_pm(1 << i)
+        cost[1 << i] = obj.node_pm(1 << i)
     for mask in range(3, size):
         if mask.bit_count() < 2:
             continue
@@ -114,14 +119,14 @@ def dp_b(obj: Objective) -> TreePlanResult:
                 c = (
                     cost[left_mask]
                     + cost[right_mask]
-                    + tables.lat_combine(left_mask, right_mask)
+                    + obj.lat_combine(left_mask, right_mask)
                 )
                 if c < best:
                     best, best_l = c, left_mask
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        cost[mask] = tables.node_pm(mask) + best
+        cost[mask] = obj.node_pm(mask) + best
         split[mask] = best_l
 
     def build(mask: int) -> TreeNode:

@@ -133,16 +133,18 @@ class Workbench:
 # ---------------------------------------------------------------------------
 
 
-def _grid_rows(bench: Workbench, categories, sizes, per_size) -> list[dict]:
+def _grid_rows(bench: Workbench) -> list[dict]:
+    """One join-engine row per configured category × pattern × algorithm."""
+    cfg = bench.cfg
     rows = []
-    for category in categories:
+    for category in cfg.categories:
         patterns = make_pattern_set(
-            category, sizes, per_size, bench.stats, bench.cfg.stream.window,
-            seed=bench.cfg.seed,
+            category, cfg.sizes, cfg.per_size, bench.stats, cfg.stream.window,
+            seed=cfg.seed,
         )
         for pattern in patterns:
-            for alg in bench.cfg.algorithms:
-                if bench.cfg.skip(alg, pattern.size):
+            for alg in cfg.algorithms:
+                if cfg.skip(alg, pattern.size):
                     continue
                 row = bench.run_join(pattern, alg)
                 row["category"] = category
@@ -165,35 +167,25 @@ def _avg(rows, keys, metrics=("throughput", "memory")) -> list[dict]:
     return out
 
 
-def table1(spark: SparkSession, cfg: ExperimentConfig | None = None):
-    """Figs 4–5: avg throughput & memory per category × algorithm."""
-    cfg = cfg or ExperimentConfig()
-    bench = Workbench(spark, cfg)
+def _grid_table(spark: SparkSession, cfg: ExperimentConfig | None, keys):
+    """Average the grid's throughput & memory over groups keyed by ``keys``."""
+    bench = Workbench(spark, cfg or ExperimentConfig())
     try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
+        raw = _grid_rows(bench)
     finally:
         bench.close()
-    rows = _avg(raw, ("category", "kind", "algorithm"))
-    text = format_table(
-        rows, ["category", "kind", "algorithm", "throughput", "memory", "n"]
-    )
-    return rows, text
+    rows = _avg(raw, keys)
+    return rows, format_table(rows, [*keys, "throughput", "memory", "n"])
+
+
+def table1(spark: SparkSession, cfg: ExperimentConfig | None = None):
+    """Figs 4–5: avg throughput & memory per category × algorithm."""
+    return _grid_table(spark, cfg, ("category", "kind", "algorithm"))
 
 
 def table2(spark: SparkSession, cfg: ExperimentConfig | None = None):
     """Figs 6–15: throughput & memory as a function of pattern size."""
-    cfg = cfg or ExperimentConfig()
-    bench = Workbench(spark, cfg)
-    try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
-    finally:
-        bench.close()
-    rows = _avg(raw, ("category", "size", "kind", "algorithm"))
-    text = format_table(
-        rows,
-        ["category", "size", "kind", "algorithm", "throughput", "memory", "n"],
-    )
-    return rows, text
+    return _grid_table(spark, cfg, ("category", "size", "kind", "algorithm"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
     cfg = cfg or ExperimentConfig(categories=("sequence", "conjunction"))
     bench = Workbench(spark, cfg)
     try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
+        raw = _grid_rows(bench)
     finally:
         bench.close()
     rows = [

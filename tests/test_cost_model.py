@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from repro.core import cost_model as cm
-from repro.core.cost_model import Objective, SubsetTables
+from repro.core.cost_model import Objective, SubsetKernel
+from repro.core.order_algorithms import dp_ld
 from repro.core.pattern import Op, Predicate, conj, seq
 from repro.core.plans import OrderPlan, TreePlan, all_tree_plans, left_deep_tree
 from repro.core.stats import PatternStats
+from repro.core.tree_algorithms import dp_b
 from tests.util import random_pattern, random_stats
 
 RATES = {"A": 2.0, "B": 5.0, "C": 0.5, "D": 8.0, "E": 1.0}
@@ -260,7 +262,7 @@ class TestASI:
 
 
 # ---------------------------------------------------------------------------
-# Objective: normalization, strategies, decomposability, SubsetTables
+# Objective: normalization, strategies, decomposability, SubsetKernel
 # ---------------------------------------------------------------------------
 
 
@@ -327,22 +329,27 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(random_stats(3, 0), strategy="bogus")
 
-    def test_subset_tables_match_direct(self):
-        st = random_stats(6, 8, op=Op.SEQ, temporal_mode="exact")
-        for strategy in ("any", "next"):
-            obj = Objective(st, alpha=0.3, strategy=strategy)
-            tables = SubsetTables(obj)
-            for mask in range(1, 1 << 6):
-                assert tables.prefix_pm(mask) == pytest.approx(
-                    obj.prefix_pm(mask), rel=1e-9
-                )
-                assert tables.node_pm(mask) == pytest.approx(
-                    obj.node_pm(mask), rel=1e-9
-                )
-            assert tables.lat_combine(0b000011, 0b111100) == pytest.approx(
-                obj.lat_combine(0b000011, 0b111100), rel=1e-9
-            )
+    def test_kernel_matches_literal_product(self):
+        for op, mode in ((Op.SEQ, "exact"), (Op.AND, "none"), (Op.SEQ, "pairwise")):
+            for seed in range(3):
+                st = random_stats(6, seed, op=op, temporal_mode=mode)
+                kernel = SubsetKernel(st)
+                for mask in range(1, 1 << 6):
+                    members = [i for i in range(6) if mask >> i & 1]
+                    sel = 1.0
+                    for a, i in enumerate(members):
+                        for j in members[a:]:
+                            sel *= st.sel[i, j]
+                    if mode == "exact":
+                        sel /= math.factorial(len(members))
+                    count = math.prod(st.counts[i] for i in members)
+                    assert kernel.pm(mask) == pytest.approx(count * sel, rel=1e-12)
+                    assert kernel.pm_next(mask) == pytest.approx(
+                        min(st.counts[i] for i in members) * sel, rel=1e-12
+                    )
 
     def test_subset_tables_size_guard(self):
-        with pytest.raises(ValueError):
-            SubsetTables(Objective(random_stats(25, 0)))
+        obj = Objective(random_stats(25, 0))
+        for planner in (dp_ld, dp_b):
+            with pytest.raises(ValueError):
+                planner(obj)

@@ -1,12 +1,10 @@
 """Unit tests for PatternStats (repro.core.stats)."""
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.pattern import Op, Predicate, conj, disj, seq
+from repro.core.cost_model import SubsetKernel
+from repro.core.pattern import Predicate, conj, disj, seq
 from repro.core.stats import MAX_KLEENE_EXP, PatternStats
-from tests.util import random_stats
 
 RATES = {"A": 2.0, "B": 5.0, "C": 0.5, "D": 8.0}
 
@@ -83,50 +81,20 @@ class TestConstruction:
 
 class TestSubsetMath:
     def test_pm_singleton(self):
-        st = stats_for(conj("ABC", window=10.0))
-        assert st.pm_of_mask(0b001) == pytest.approx(20.0)
+        pm = SubsetKernel(stats_for(conj("ABC", window=10.0))).pm
+        assert pm(0b001) == pytest.approx(20.0)
 
     def test_pm_pair_includes_selectivity(self):
-        st = stats_for(conj("ABC", (Predicate(0, 1, sel=0.1),), window=10.0))
-        assert st.pm_of_mask(0b011) == pytest.approx(20 * 50 * 0.1)
+        pm = SubsetKernel(
+            stats_for(conj("ABC", (Predicate(0, 1, sel=0.1),), window=10.0))
+        ).pm
+        assert pm(0b011) == pytest.approx(20 * 50 * 0.1)
 
     def test_pm_temporal_factor_exact(self):
-        st = stats_for(seq("ABC", window=10.0))
+        pm = SubsetKernel(stats_for(seq("ABC", window=10.0))).pm
         # subset {A, B}: 1/2! ordering factor
-        assert st.pm_of_mask(0b011) == pytest.approx(20 * 50 / 2)
-        assert st.pm_of_mask(0b111) == pytest.approx(20 * 50 * 5 / 6)
-
-    def test_extend_factor_consistent_with_pm(self):
-        for s in range(5):
-            st = random_stats(5, s, op=Op.SEQ, temporal_mode="exact")
-            mask = 0b01101
-            t = 1
-            assert st.pm_of_mask(mask) * st.extend_factor(mask, t) == pytest.approx(
-                st.pm_of_mask(mask | 1 << t), rel=1e-12
-            )
-
-    def test_extend_factor_rejects_member(self):
-        st = stats_for(conj("AB"))
-        with pytest.raises(ValueError):
-            st.extend_factor(0b01, 0)
-
-    def test_combine_factor_consistent_with_pm(self):
-        for s in range(5):
-            st = random_stats(6, s, op=Op.SEQ, temporal_mode="exact")
-            a, b = 0b010110, 0b101001
-            assert st.pm_of_mask(a) * st.pm_of_mask(b) * st.combine_factor(
-                a, b
-            ) == pytest.approx(st.pm_of_mask(a | b), rel=1e-12)
-
-    def test_combine_factor_rejects_overlap(self):
-        st = stats_for(conj("AB"))
-        with pytest.raises(ValueError):
-            st.combine_factor(0b11, 0b01)
-
-    def test_temporal_factor_values(self):
-        st = stats_for(seq("ABCD"))
-        assert st.temporal_factor(0b1111) == pytest.approx(1 / math.factorial(4))
-        assert st.temporal_factor(0b0001) == 1.0
+        assert pm(0b011) == pytest.approx(20 * 50 / 2)
+        assert pm(0b111) == pytest.approx(20 * 50 * 5 / 6)
 
     def test_total_count(self):
         st = stats_for(conj("ABC", window=10.0))

@@ -107,6 +107,16 @@ class TestZStream:
         assert dp_b(obj).cost <= zstream(obj).cost + 1e-12
         assert dp_b(obj).cost <= zstream_ord(obj).cost + 1e-12
 
+    @pytest.mark.parametrize(
+        "planner", [zstream, zstream_ord], ids=["zstream", "zstream_ord"]
+    )
+    def test_above_subset_dp_cap(self, planner):
+        """ZSTREAM's O(n²) groupings need no 2ⁿ subset tables, so n=30 plans."""
+        obj = Objective(random_stats(30, 0, op=Op.SEQ, temporal_mode="exact"))
+        res = planner(obj)
+        assert res.plan.root.mask == (1 << 30) - 1
+        assert res.cost == pytest.approx(obj.tree_cost(res.plan), rel=1e-9)
+
     def test_zstream_misses_reordered_plan(self):
         """The paper's Figure 3: SEQ(A,B,C) with a highly selective A–C
         predicate — only leaf reordering reaches the optimal tree."""
